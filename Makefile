@@ -10,16 +10,17 @@ RACE_PKGS := ./internal/symexec ./internal/solver ./internal/core \
              ./internal/trace ./internal/dataplane ./internal/serve \
              ./internal/verify ./internal/obsrv
 
-.PHONY: all check build test race bench bench-parallel bench-dataplane bench-sharding bench-chain bench-telemetry bench-trace bench-verify bench-obsrv alloc vet lint fuzz trace serve verify-net
+.PHONY: all check build test race bench bench-quick bench-parallel bench-dataplane bench-sharding bench-chain bench-telemetry bench-trace bench-verify bench-obsrv alloc vet lint fuzz trace serve verify-net
 
 all: check
 
 # Default gate: compile, vet, test, the zero-allocation regressions
 # (telemetry must never put an allocation on the packet path; a disabled
 # tracer must add none to symexec stepping), NFLint over the corpus
-# (sources and synthesized models must be clean), and the trace smoke
-# gate (every corpus NF yields valid Perfetto-loadable JSON).
-check: build vet test alloc lint trace
+# (sources and synthesized models must be clean), the trace smoke gate
+# (every corpus NF yields valid Perfetto-loadable JSON), and the
+# benchmark's smoke run (every output check of ./bench on).
+check: build vet test alloc lint trace bench-quick
 
 # Trace smoke gate: every corpus NF synthesizes under tracing, exports
 # schema-valid Chrome trace-event JSON with all five Algorithm 1 phase
@@ -74,6 +75,14 @@ vet:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The repo's one benchmark (bench/README.md) at smoke-test sizes, about
+# 10 s: both workloads through every family with all output checks on —
+# served verdicts against the reference interpreter, every datagram
+# answered once and in order, epoch_violations == 0. A gate on
+# correctness, not on speed: its timings are too short to compare.
+bench-quick:
+	$(GO) run ./bench -quick -seconds 4
 
 # The Workers=1 vs Workers=GOMAXPROCS speedup benchmark (unsliced
 # snortlite, ~39k paths per run — expect a couple of minutes).

@@ -46,7 +46,9 @@
 // synthetic workload packets, or from UDP datagrams (-listen); verdict
 // lines go to stdout, diagnostics to stderr. SIGHUP re-synthesizes the
 // NF from its current source and hot-swaps the engine generation under
-// load — the swap applies only at a batch barrier, carries compatible
+// load — the swap applies only at a batch barrier (a batch is whatever
+// has already arrived, up to -batch: the loop never waits for one to
+// fill, so there is no flush interval to set), carries compatible
 // state over, and is refused (loudly, naming the first divergence) if
 // the candidate's behavior diverges from the serving generation on the
 // live traffic window, unless -swap-allow-change. -swap-after N queues
@@ -107,7 +109,7 @@ func main() {
 	genPkts := flag.Int64("gen", 0, "with -serve: serve N synthetic workload packets instead of a trace")
 	seed := flag.Int64("seed", 1, "with -serve -gen: workload seed")
 	listen := flag.String("listen", "", "with -serve: serve packets from UDP datagrams on this address")
-	batch := flag.Int("batch", 0, "with -serve: batch size (swap quiescence granularity; 0 = default)")
+	batch := flag.Int("batch", 0, "with -serve: maximum batch; a batch is what has already arrived, so no packet waits for it to fill (0 = default 64)")
 	window := flag.Int("window", 0, "with -serve: live-traffic window gating swaps (0 = default)")
 	swapAfter := flag.Int64("swap-after", 0, "with -serve: re-synthesize and hot-swap once after N packets")
 	swapAllow := flag.Bool("swap-allow-change", false, "with -serve: apply swaps even when behavior diverges on the live window")

@@ -26,13 +26,13 @@ func obsInfo(stages []genStage) []obsrv.StageInfo {
 }
 
 // installCollector builds fresh collectors for the (newly installed)
-// generation and invalidates the published observability snapshot.
+// generation; the full publish that follows every install replaces the
+// old generation's snapshot.
 func (s *Server) installCollector() {
 	if s.cfg.Obs == nil {
 		return
 	}
 	s.obs = obsrv.NewCollector(obsInfo(s.gen.stages), *s.cfg.Obs)
-	s.pubObs = nil
 }
 
 // swapEventOf converts a swap report into the audit-trail event.

@@ -16,9 +16,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -51,14 +51,31 @@ type Explainer interface {
 
 // Source feeds packets to a Server. Implementations are read from a
 // single goroutine (the serving loop).
+//
+// A source whose Next can wait (a socket, a pipe, a pacer) may also
+// implement
+//
+//	Pending() bool
+//
+// reporting whether Next would return without waiting. The loop blocks
+// in Next for a batch's first packet and then takes only what is
+// pending, so a verdict never waits for packets that have not arrived.
+// A source without the method is taken to never wait: its batches fill
+// to the maximum.
 type Source interface {
 	// Next fills p with the next packet to serve. ok=false means the
-	// source is exhausted and the server stops cleanly. A non-nil error
-	// with ok=true reports a malformed input that was skipped.
+	// source is exhausted and the server stops cleanly, or, with a
+	// non-nil error, that the source failed: the server drains and Run
+	// returns the error. A non-nil error with ok=true reports a
+	// malformed input that was skipped.
 	Next(p *netpkt.Packet) (ok bool, err error)
 }
 
-// TraceSource serves a fixed trace, once or looping forever.
+// pender is the optional half of the Source contract.
+type pender interface{ Pending() bool }
+
+// TraceSource serves a fixed trace, once or looping forever. It never
+// waits, so it has no Pending: its batches are full.
 type TraceSource struct {
 	trace []netpkt.Packet
 	loop  bool
@@ -105,13 +122,17 @@ func NewPacedSource(src Source, pps float64) *PacedSource {
 	return &PacedSource{src: src, pps: pps}
 }
 
+// due is when the next packet may go out.
+func (ps *PacedSource) due() time.Time {
+	return ps.start.Add(time.Duration(float64(ps.sent) / ps.pps * float64(time.Second)))
+}
+
 func (ps *PacedSource) Next(p *netpkt.Packet) (bool, error) {
 	if ps.pps > 0 {
 		if ps.start.IsZero() {
 			ps.start = time.Now()
 		}
-		due := ps.start.Add(time.Duration(float64(ps.sent) / ps.pps * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
+		if d := time.Until(ps.due()); d > 0 {
 			time.Sleep(d)
 		} else if d < -time.Second {
 			// Ran behind by over a second (stalled inner source, paused
@@ -127,29 +148,59 @@ func (ps *PacedSource) Next(p *netpkt.Packet) (bool, error) {
 	return ok, err
 }
 
+// Pending reports whether the next packet is already due (and the inner
+// source would not wait for it): a packet is served when its time
+// comes, not when a batch's worth of them has come due.
+func (ps *PacedSource) Pending() bool {
+	if ps.pps > 0 && !ps.start.IsZero() && time.Until(ps.due()) > 0 {
+		return false
+	}
+	if in, ok := ps.src.(pender); ok {
+		return in.Pending()
+	}
+	return true
+}
+
+// maxLine bounds a trace line read from a stream or a datagram.
+const maxLine = 64 * 1024
+
+var errLineTooLong = fmt.Errorf("trace line longer than %d bytes", maxLine)
+
 // ReaderSource parses trace lines (netpkt.ParseLine) from a stream —
 // stdin, a file, a pipe. Blank lines and '#' comments are skipped;
-// malformed lines are counted and skipped.
+// malformed lines, and lines over 64 KiB, are counted and skipped.
 type ReaderSource struct {
-	sc        *bufio.Scanner
+	br        *bufio.Reader
+	err       error // what ended the stream: io.EOF or a read failure
 	malformed atomic.Int64
 }
 
-// NewReaderSource wraps r in a line scanner.
+// NewReaderSource wraps r in a line reader.
 func NewReaderSource(r io.Reader) *ReaderSource {
-	return &ReaderSource{sc: bufio.NewScanner(r)}
+	return &ReaderSource{br: bufio.NewReaderSize(r, maxLine)}
 }
 
 // Malformed returns how many lines failed to parse so far.
 func (r *ReaderSource) Malformed() int64 { return r.malformed.Load() }
 
 func (r *ReaderSource) Next(p *netpkt.Packet) (bool, error) {
-	for r.sc.Scan() {
-		line := r.sc.Text()
+	for r.err == nil {
+		var line []byte
+		line, r.err = r.br.ReadSlice('\n')
+		if r.err == bufio.ErrBufferFull {
+			for r.err == bufio.ErrBufferFull { // discard the rest of the line
+				_, r.err = r.br.ReadSlice('\n')
+			}
+			r.malformed.Add(1)
+			return true, errLineTooLong
+		}
+		if r.err != nil && r.err != io.EOF {
+			break // a line cut short by a failure is not a line
+		}
 		if isSkippable(line) {
 			continue
 		}
-		pkt, err := netpkt.ParseLine(line)
+		pkt, err := netpkt.ParseLine(string(line))
 		if err != nil {
 			r.malformed.Add(1)
 			return true, err
@@ -157,58 +208,33 @@ func (r *ReaderSource) Next(p *netpkt.Packet) (bool, error) {
 		*p = pkt
 		return true, nil
 	}
-	return false, nil
-}
-
-// UDPSource serves one trace line per UDP datagram. Close makes the
-// next Next report exhaustion.
-type UDPSource struct {
-	conn      net.PacketConn
-	buf       []byte
-	malformed atomic.Int64
-}
-
-// NewUDPSource listens on addr (e.g. ":9099").
-func NewUDPSource(addr string) (*UDPSource, error) {
-	conn, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		return nil, err
+	if r.err == io.EOF {
+		return false, nil
 	}
-	return &UDPSource{conn: conn, buf: make([]byte, 64*1024)}, nil
+	return false, fmt.Errorf("serve: reading trace lines: %w", r.err)
 }
 
-// Addr returns the bound listen address.
-func (u *UDPSource) Addr() net.Addr { return u.conn.LocalAddr() }
-
-// Close unblocks a pending read and exhausts the source.
-func (u *UDPSource) Close() error { return u.conn.Close() }
-
-// Malformed returns how many datagrams failed to parse so far.
-func (u *UDPSource) Malformed() int64 { return u.malformed.Load() }
-
-func (u *UDPSource) Next(p *netpkt.Packet) (bool, error) {
+// Pending reports whether a complete packet line is already buffered,
+// so a verdict comes back for each line typed or piped, not after the
+// batch fills. Buffered blank and comment lines are consumed on the
+// way: Next would skip them and then wait.
+func (r *ReaderSource) Pending() bool {
 	for {
-		n, _, err := u.conn.ReadFrom(u.buf)
-		if err != nil {
-			return false, nil // closed: clean exhaustion
+		buf, _ := r.br.Peek(r.br.Buffered())
+		end := bytes.IndexByte(buf, '\n')
+		if end < 0 {
+			return false
 		}
-		line := string(u.buf[:n])
-		if isSkippable(line) {
-			continue
+		if !isSkippable(buf[:end]) {
+			return true
 		}
-		pkt, perr := netpkt.ParseLine(line)
-		if perr != nil {
-			u.malformed.Add(1)
-			return true, perr
-		}
-		*p = pkt
-		return true, nil
+		r.br.Discard(end + 1)
 	}
 }
 
-func isSkippable(line string) bool {
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
+func isSkippable(line []byte) bool {
+	for _, c := range line {
+		switch c {
 		case ' ', '\t', '\r', '\n':
 			continue
 		case '#':
@@ -224,9 +250,20 @@ func isSkippable(line string) bool {
 
 // Sink receives each served packet's outcome, in serving order, from
 // the serving goroutine.
+//
+// A sink that buffers may also implement
+//
+//	Flush() error
+//
+// which the loop calls at the end of every batch and when Run returns.
+// Batches are what was ready, so that is at once under light traffic
+// and amortized under load.
 type Sink interface {
 	Emit(seq int64, p *netpkt.Packet, o *Outcome) error
 }
+
+// flusher is the optional half of the Sink contract.
+type flusher interface{ Flush() error }
 
 // SinkFunc adapts a function to Sink.
 type SinkFunc func(seq int64, p *netpkt.Packet, o *Outcome) error
@@ -234,16 +271,20 @@ type SinkFunc func(seq int64, p *netpkt.Packet, o *Outcome) error
 // Emit calls f.
 func (f SinkFunc) Emit(seq int64, p *netpkt.Packet, o *Outcome) error { return f(seq, p, o) }
 
-// NewWriterSink renders verdict lines in nfreplay's replay format.
-func NewWriterSink(w io.Writer) Sink {
-	bw := bufio.NewWriter(w)
-	return SinkFunc(func(seq int64, p *netpkt.Packet, o *Outcome) error {
-		if _, err := fmt.Fprintf(bw, "%6d  %-55s %s\n", seq, p, o.Verdict); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
+// WriterSink renders verdict lines in nfreplay's replay format. Lines
+// are buffered until Flush.
+type WriterSink struct{ bw *bufio.Writer }
+
+// NewWriterSink renders verdict lines to w.
+func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{bw: bufio.NewWriter(w)} }
+
+func (s *WriterSink) Emit(seq int64, p *netpkt.Packet, o *Outcome) error {
+	_, err := fmt.Fprintf(s.bw, "%6d  %-55s %s\n", seq, p, o.Verdict)
+	return err
 }
+
+// Flush writes the buffered lines out.
+func (s *WriterSink) Flush() error { return s.bw.Flush() }
 
 // Discard drops every outcome (benchmarks, smoke runs with -q).
 var Discard Sink = SinkFunc(func(int64, *netpkt.Packet, *Outcome) error { return nil })

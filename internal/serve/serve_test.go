@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"net"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"nfactor/internal/core"
@@ -538,11 +540,13 @@ func TestChainServeAndSwap(t *testing.T) {
 			if _, name := srv.Generation(); name != "dpi->snortlite" {
 				t.Errorf("generation name = %q", name)
 			}
-			done := runServer(srv)
+			// Queued before Run starts: the snapshot check below needs the
+			// swap at packet 256 exactly, not wherever the loop has got to.
 			ch := srv.RequestSwap(SwapRequest{
 				Candidate:    Candidate{Stages: stages2, Shards: shards},
 				AfterPackets: 256,
 			})
+			done := runServer(srv)
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
@@ -628,48 +632,64 @@ func TestReaderSource(t *testing.T) {
 	}
 }
 
-// TestUDPSource serves datagrams from a loopback socket; Close drains
-// the server cleanly.
-func TestUDPSource(t *testing.T) {
-	src, err := NewUDPSource("127.0.0.1:0")
+// TestReaderSourceLongLineAndReadError: a line over 64 KiB is one
+// malformed line, not the end of the stream, and a failing reader ends
+// Run with its error after what was read has been served.
+func TestReaderSourceLongLineAndReadError(t *testing.T) {
+	trace := firewallTrace(3)
+	input := netpkt.FormatLine(trace[0]) + "\n" +
+		strings.Repeat("x", 3*maxLine) + "\n" +
+		netpkt.FormatLine(trace[1]) + "\n" +
+		netpkt.FormatLine(trace[2]) + "\n" +
+		"tcp 10.0.0.1:1 > cut short by the fail"
+	broken := errors.New("disk on fire")
+	src := NewReaderSource(io.MultiReader(strings.NewReader(input), iotest.ErrReader(broken)))
+	sink := &recordSink{}
+	srv, err := New(Candidate{Analysis: analyzeNF(t, "firewall")}, Config{Source: src, Sink: sink})
 	if err != nil {
-		t.Skipf("no loopback UDP: %v", err)
+		t.Fatal(err)
 	}
-	srv, err := New(Candidate{Analysis: analyzeNF(t, "firewall")}, Config{
-		Source:    src,
-		BatchSize: 1, // serve every datagram as its own batch
-	})
+	if err := srv.Run(); !errors.Is(err, broken) {
+		t.Errorf("Run = %v, want the reader's error", err)
+	}
+	if len(sink.pkts) != 3 {
+		t.Fatalf("served %d packets, want the 3 valid lines", len(sink.pkts))
+	}
+	for i := range sink.pkts {
+		if sink.pkts[i] != trace[i] {
+			t.Errorf("packet %d = %s, want %s", i, &sink.pkts[i], &trace[i])
+		}
+	}
+	if src.Malformed() != 1 {
+		t.Errorf("malformed = %d, want 1 (the over-long line; the cut line is dropped with the error)", src.Malformed())
+	}
+}
+
+// TestUDPSource serves datagrams from a loopback socket at the default
+// batch size; Close drains the server cleanly.
+func TestUDPSource(t *testing.T) {
+	src, conn := udpPair(t)
+	sink := newSignalSink()
+	srv, err := New(Candidate{Analysis: analyzeNF(t, "firewall")}, Config{Source: src, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := runServer(srv)
 
-	conn, err := net.Dial("udp", src.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	send(t, conn, "garbage datagram")
 	for _, p := range firewallTrace(3) {
-		if _, err := conn.Write([]byte(netpkt.FormatLine(p))); err != nil {
-			t.Fatal(err)
-		}
+		send(t, conn, netpkt.FormatLine(p))
 	}
-	if _, err := conn.Write([]byte("garbage datagram")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Packets < 3 || src.Malformed() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("served %d packets, %d malformed after 5s", srv.Stats().Packets, src.Malformed())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	sink.await(t, 3, 5*time.Second)
 	src.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Packets; got != 3 {
 		t.Errorf("served %d packets, want 3", got)
+	}
+	if src.Malformed() != 1 {
+		t.Errorf("malformed = %d, want 1", src.Malformed())
 	}
 }
 
@@ -680,6 +700,9 @@ func TestWriterSink(t *testing.T) {
 	trace := firewallTrace(2)
 	v := netpkt.Verdict{Dropped: true}
 	if err := sink.Emit(1, &trace[0], &Outcome{Verdict: v, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "DROP") {

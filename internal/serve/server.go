@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +17,12 @@ type Config struct {
 	// nil means Discard.
 	Source Source
 	Sink   Sink
-	// BatchSize is the quiescence granularity: swaps apply only at
-	// batch barriers, so a smaller batch bounds swap latency while a
-	// larger one amortizes the per-barrier bookkeeping. Default 64.
+	// BatchSize is the maximum batch. The loop blocks for a batch's
+	// first packet and then takes only what the source already holds
+	// (see Source), so a batch is one packet under light traffic and
+	// grows to BatchSize under load, where it amortizes the per-barrier
+	// bookkeeping. Swaps apply only at the barriers between batches.
+	// Default 64.
 	BatchSize int
 	// WindowSize bounds the ring of recently served packets that gates
 	// swaps. Default 1024.
@@ -55,41 +59,45 @@ type Server struct {
 	running   atomic.Bool // serving loop active (InspectState routing)
 
 	stats telemetry.ServeStats // serving-goroutine copy
-	pub   atomic.Pointer[Published]
+
+	// What other goroutines read. The stats are copied out after every
+	// batch; the snapshots in pub are rebuilt at most every obsRefresh
+	// of wall time (pubAt), and whenever a reader is about to look
+	// (generation install, swap decision, Run's return).
+	statsMu  sync.Mutex
+	pubStats telemetry.ServeStats
+	pub      atomic.Pointer[Published]
+	pubAt    time.Time
 
 	// Observability collectors (nil when Config.Obs is unset). obs
 	// belongs to the serving goroutine; swapLog is internally locked.
 	obs     *obsrv.Collector
 	swapLog *obsrv.SwapLog
-	// Published obs/stage snapshots refresh at most every obsRefresh
-	// of wall time, not every batch.
-	pubObs    *obsrv.Snapshot
-	pubStages []telemetry.Snapshot
-	pubObsAt  time.Time
 
 	lastEpoch uint64
 }
 
-// obsRefresh is how stale a published collector snapshot may get:
-// scrapes want freshness on the order of seconds, the serve loop turns
-// over batches in microseconds, and building the snapshot (sample
-// rendering, sketch copies, per-stage telemetry) costs microseconds —
-// amortizing it by wall time keeps the cost independent of packet rate.
+// obsRefresh is how stale a published snapshot may get: scrapes want
+// freshness on the order of seconds, the serve loop turns over batches
+// in microseconds — one per packet under light traffic — and building
+// the snapshots (state sizes, entry-hit copies, sample rendering,
+// sketch copies, per-stage telemetry) costs microseconds and grows with
+// the model. Amortizing it by wall time keeps the barrier's cost
+// independent of both packet rate and model size.
 const obsRefresh = 200 * time.Millisecond
 
-// Published is the cross-goroutine observable state, republished after
-// every batch: the serving stats plus the engine's own telemetry.
-// Stages and Obs carry the per-stage telemetry and the collector
-// snapshot when observability is enabled (refreshed every few batches).
+// Published is the cross-goroutine view of the serving generation: the
+// engine's own telemetry and, when observability is enabled, the
+// per-stage telemetry and the collector snapshot.
 type Published struct {
-	Stats  telemetry.ServeStats
-	Engine telemetry.Snapshot
-	Stages []telemetry.Snapshot
-	Obs    *obsrv.Snapshot
-	// Name labels the serving generation (the candidate's display
-	// name); republished with the stats so readers never touch the
-	// live generation struct.
-	Name string
+	// Generation and Name identify the serving generation (the
+	// candidate's display name), so readers never touch the live
+	// generation struct.
+	Generation uint64
+	Name       string
+	Engine     telemetry.Snapshot
+	Stages     []telemetry.Snapshot
+	Obs        *obsrv.Snapshot
 }
 
 type swapTicket struct {
@@ -134,16 +142,16 @@ func New(c Candidate, cfg Config) (*Server, error) {
 		s.installCollector()
 	}
 	s.stats.Generation = gen.Num
-	s.publish()
+	s.publish(true)
 	return s, nil
 }
 
-// Generation returns the serving generation's number and name, as of
-// the last published batch (reading the live generation struct would
+// Generation returns the serving generation's number and name, as
+// published at its install (reading the live generation struct would
 // race the swap install on the serving goroutine).
 func (s *Server) Generation() (uint64, string) {
 	p := s.pub.Load()
-	return p.Stats.Generation, p.Name
+	return p.Generation, p.Name
 }
 
 // RequestSwap queues a swap for the next eligible batch barrier and
@@ -173,19 +181,25 @@ func (s *Server) Stop() {
 	}
 }
 
-// Stats returns the most recently published serving stats.
-func (s *Server) Stats() telemetry.ServeStats { return s.pub.Load().Stats }
+// Stats returns the serving stats as of the last served batch.
+func (s *Server) Stats() telemetry.ServeStats {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.pubStats
+}
 
 // Snapshot returns the serving engine's most recently published
-// telemetry snapshot.
+// telemetry snapshot: at most obsRefresh old while serving, exact after
+// a swap decision and after Run returns.
 func (s *Server) Snapshot() telemetry.Snapshot { return s.pub.Load().Engine }
 
 // Run serves until the source is exhausted or Stop is called. It
 // returns a non-nil error only when the data plane itself fails (an
-// evaluation error — a synthesis bug, not an operational condition) or
-// the sink rejects a write.
-func (s *Server) Run() error {
+// evaluation error — a synthesis bug, not an operational condition),
+// the source fails, or the sink rejects a write.
+func (s *Server) Run() (err error) {
 	var pending []*swapTicket
+	flush, _ := s.cfg.Sink.(flusher)
 	s.running.Store(true)
 	defer func() {
 		for _, t := range pending {
@@ -195,16 +209,19 @@ func (s *Server) Run() error {
 		// Answer inspection tickets that raced the shutdown, then let
 		// future ones take the direct (quiesced) path.
 		s.serviceInspect()
-		// Force a final collector publish: the amortized refresh may lag
-		// by up to obsRefresh, and a drained server must report exact
-		// gap-hit and drift totals.
-		if s.obs != nil {
-			s.pubObs = nil
-			s.publish()
+		// The amortized refresh may lag by up to obsRefresh, and a
+		// drained server must report exact totals.
+		s.publish(true)
+		if flush != nil {
+			// Only a batch cut short by an error left anything buffered.
+			if ferr := flush.Flush(); err == nil && ferr != nil {
+				err = fmt.Errorf("serve: sink: %w", ferr)
+			}
 		}
 		s.running.Store(false)
 	}()
 
+	ready, _ := s.cfg.Source.(pender)
 	batch := make([]netpkt.Packet, 0, s.cfg.BatchSize)
 	outs := make([]Outcome, s.cfg.BatchSize)
 	for {
@@ -221,13 +238,20 @@ func (s *Server) Run() error {
 		default:
 		}
 
+		// Fill: block for the first packet, then take only what the
+		// source already holds, up to the maximum. A source that cannot
+		// say (it never waits) fills the batch.
 		batch = batch[:0]
 		exhausted := false
+		var srcErr error
 		for len(batch) < s.cfg.BatchSize {
+			if len(batch) > 0 && ready != nil && !ready.Pending() {
+				break
+			}
 			var p netpkt.Packet
 			ok, err := s.cfg.Source.Next(&p)
 			if !ok {
-				exhausted = true
+				exhausted, srcErr = true, err
 				break
 			}
 			if err != nil {
@@ -236,13 +260,16 @@ func (s *Server) Run() error {
 			batch = append(batch, p)
 		}
 		if len(batch) > 0 {
-			if err := s.serveBatch(batch, outs[:len(batch)]); err != nil {
+			if err := s.serveBatch(batch, outs[:len(batch)], flush); err != nil {
 				return err
 			}
 		}
 		if exhausted {
 			pending = s.drainSwaps(pending)
 			pending = s.applyEligible(pending)
+			if srcErr != nil {
+				return fmt.Errorf("serve: source: %w", srcErr)
+			}
 			return nil
 		}
 	}
@@ -250,8 +277,9 @@ func (s *Server) Run() error {
 
 // serveBatch runs one batch through the serving plane, asserts the
 // per-packet consistency invariant on every output's epoch stamp,
-// records the packets in the gating window and emits the outcomes.
-func (s *Server) serveBatch(batch []netpkt.Packet, outs []Outcome) error {
+// records the packets in the gating window, emits the outcomes and
+// flushes a buffering sink.
+func (s *Server) serveBatch(batch []netpkt.Packet, outs []Outcome, flush flusher) error {
 	if err := s.gen.plane.processBatch(batch, outs); err != nil {
 		return fmt.Errorf("serve: generation %d: %w", s.gen.Num, err)
 	}
@@ -273,7 +301,16 @@ func (s *Server) serveBatch(batch []netpkt.Packet, outs []Outcome) error {
 			return fmt.Errorf("serve: sink: %w", err)
 		}
 	}
-	s.publish()
+	if flush != nil {
+		if err := flush.Flush(); err != nil {
+			return fmt.Errorf("serve: sink: %w", err)
+		}
+	}
+	s.stats.Batches++
+	if len(batch) == s.cfg.BatchSize {
+		s.stats.FullBatches++
+	}
+	s.publish(false)
 	return nil
 }
 
@@ -316,7 +353,8 @@ func (s *Server) applyEligible(pending []*swapTicket) []*swapTicket {
 		if s.swapLog != nil {
 			s.swapLog.Record(swapEventOf(rep, s.stats.Packets))
 		}
-		s.publish()
+		// Whoever receives the report reads Stats and Snapshot next.
+		s.publish(true)
 		if s.cfg.OnSwap != nil {
 			s.cfg.OnSwap(rep)
 		}
@@ -347,23 +385,25 @@ func (s *Server) windowCopy() []netpkt.Packet {
 	return append(out, s.window[:at]...)
 }
 
-// publish republishes the observable state. The serve stats and merged
-// engine snapshot refresh every batch; the collector snapshot and
-// per-stage telemetry refresh at most every obsRefresh of wall time
-// (snapshotting the collectors copies sample rings and sketch tops —
-// microseconds of work, too much for every 64 packets). A nil pubObs
-// (fresh install, forced final publish) refreshes immediately.
-func (s *Server) publish() {
+// publish copies the serve stats out for Stats and, when the published
+// snapshots are older than obsRefresh or full is set, rebuilds those
+// (see obsRefresh for why not every batch).
+func (s *Server) publish(full bool) {
 	st := s.stats
 	st.WindowLen = int64(len(s.window))
-	p := &Published{Stats: st, Engine: s.gen.plane.snapshot(), Name: s.gen.Name}
+	s.statsMu.Lock()
+	s.pubStats = st
+	s.statsMu.Unlock()
+
+	now := time.Now()
+	if !full && now.Sub(s.pubAt) < obsRefresh {
+		return
+	}
+	s.pubAt = now
+	p := &Published{Generation: s.gen.Num, Name: s.gen.Name, Engine: s.gen.plane.snapshot()}
 	if s.obs != nil {
-		if now := time.Now(); s.pubObs == nil || now.Sub(s.pubObsAt) >= obsRefresh {
-			s.pubObs = s.obs.Snapshot(s.gen.Num, s.gen.Name)
-			s.pubStages = s.gen.plane.stageSnapshots()
-			s.pubObsAt = now
-		}
-		p.Obs, p.Stages = s.pubObs, s.pubStages
+		p.Obs = s.obs.Snapshot(s.gen.Num, s.gen.Name)
+		p.Stages = s.gen.plane.stageSnapshots()
 	}
 	s.pub.Store(p)
 }

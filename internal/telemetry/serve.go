@@ -9,8 +9,8 @@ import (
 
 // ServeStats is the serving loop's own telemetry, layered over the
 // engine Snapshot: generation bookkeeping for hot swaps and the
-// per-packet consistency check. A Server publishes an immutable copy
-// after every batch.
+// per-packet consistency check. A Server publishes a copy after every
+// batch.
 type ServeStats struct {
 	// Generation is the epoch of the currently serving engine; it starts
 	// at 1 and increments once per applied swap.
@@ -18,6 +18,12 @@ type ServeStats struct {
 	// Packets is the total served (ingress) packet count across all
 	// generations.
 	Packets int64
+	// Batches counts the batches those packets were served in, and
+	// FullBatches the ones that reached the configured maximum. The loop
+	// takes what is ready, so Packets/Batches is near 1 under light
+	// traffic and grows toward the maximum under load.
+	Batches     int64
+	FullBatches int64
 	// Swaps counts applied generation swaps; SwapsBlocked counts swap
 	// requests the gate refused (candidate faithfulness or behavior
 	// divergence over the live window).
@@ -50,6 +56,9 @@ func (s ServeStats) Report() string {
 			s.CarriedVars, s.ResetVars, time.Duration(s.LastSwapPauseNs))
 	}
 	fmt.Fprintf(&b, " window=%d", s.WindowLen)
+	if s.Batches > 0 {
+		fmt.Fprintf(&b, " mean_batch=%.1f", float64(s.Packets)/float64(s.Batches))
+	}
 	return b.String()
 }
 
@@ -68,6 +77,8 @@ func (s ServeStats) WriteServePrometheus(w io.Writer, nf string) error {
 	}{
 		{"nfactor_serve_generation", "Epoch of the serving engine generation.", "gauge", int64(s.Generation)},
 		{"nfactor_serve_packets_total", "Packets served across all generations.", "counter", s.Packets},
+		{"nfactor_serve_batches_total", "Batches served (a batch is what was ready, up to the maximum).", "counter", s.Batches},
+		{"nfactor_serve_full_batches_total", "Batches that reached the maximum batch size.", "counter", s.FullBatches},
 		{"nfactor_serve_swaps_total", "Applied engine generation swaps.", "counter", s.Swaps},
 		{"nfactor_serve_swaps_blocked_total", "Swap requests refused by the equivalence gate.", "counter", s.SwapsBlocked},
 		{"nfactor_serve_carried_vars_total", "State variables carried across swaps.", "counter", s.CarriedVars},

@@ -239,6 +239,29 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// The loop's batch counters reach both the summary line and the scrape.
+func TestServeStatsBatchCounters(t *testing.T) {
+	st := ServeStats{Generation: 1, Packets: 300, Batches: 8, FullBatches: 3}
+	if rep := st.Report(); !strings.Contains(rep, "mean_batch=37.5") {
+		t.Errorf("report %q lacks mean_batch=37.5", rep)
+	}
+	if rep := (ServeStats{Generation: 1}).Report(); strings.Contains(rep, "mean_batch") {
+		t.Errorf("report %q gives a mean over no batches", rep)
+	}
+	var sb strings.Builder
+	if err := st.WriteServePrometheus(&sb, "fw"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`nfactor_serve_batches_total{nf="fw"} 8`,
+		`nfactor_serve_full_batches_total{nf="fw"} 3`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("prometheus output missing %q", want)
+		}
+	}
+}
+
 // Telemetry accounting itself must be allocation-free per packet.
 func TestSinkZeroAlloc(t *testing.T) {
 	s := NewSink(4)
